@@ -22,6 +22,7 @@
 //
 // Flags:
 //   --quick    workers {1, 2, 4}, smaller workloads (CI smoke)
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -60,6 +61,8 @@ struct CaseOut {
   double horizon_width_mean_s = 0.0;
   double barrier_wait_sec = 0.0;
   double barrier_wait_frac = 0.0;
+  double barrier_spin_sec = 0.0;
+  double barrier_spin_frac = 0.0;
   // Static min-cut re-run of the same case (workers == 4 rows only).
   bool has_static = false;
   std::uint64_t static_rounds = 0;
@@ -153,12 +156,15 @@ CaseOut run_case(ScenarioConfig cfg, const char* topology, Protocol proto,
       static_cast<std::uint64_t>(metric(r, "parallel.cross_posts"));
   c.horizon_width_mean_s = metric(r, "parallel.horizon_width_mean");
   c.barrier_wait_sec = r.parallel_barrier_wait_sec;
-  // Fraction of total thread-seconds spent blocked past the spin burst.
-  c.barrier_wait_frac =
-      run.wall_sec > 0.0 && r.workers_used > 0
-          ? r.parallel_barrier_wait_sec /
-                (run.wall_sec * static_cast<double>(r.workers_used))
-          : 0.0;
+  c.barrier_spin_sec = metric(r, "parallel.barrier_spin_sec");
+  // Fractions of total thread-seconds spent blocked past the spin burst,
+  // and spinning inside it.
+  const double thread_sec =
+      run.wall_sec * static_cast<double>(std::max(r.workers_used, 1));
+  if (thread_sec > 0.0) {
+    c.barrier_wait_frac = c.barrier_wait_sec / thread_sec;
+    c.barrier_spin_frac = c.barrier_spin_sec / thread_sec;
+  }
 
   if (with_static && workers > 1) {
     cfg.horizon_mode = ScenarioConfig::HorizonMode::kStaticMinCut;
@@ -273,7 +279,8 @@ void append_case_json(std::string& json, const CaseOut& c, bool last) {
       "\"end_time_s\": %.6f,\n"
       "     \"rounds\": %llu, \"drains\": %llu, \"quiet_rounds\": %llu,\n"
       "     \"cross_posts\": %llu, \"horizon_width_mean_s\": %.9g,\n"
-      "     \"barrier_wait_sec\": %.6f, \"barrier_wait_frac\": %.6f",
+      "     \"barrier_wait_sec\": %.6f, \"barrier_wait_frac\": %.6f,\n"
+      "     \"barrier_spin_sec\": %.6f, \"barrier_spin_frac\": %.6f",
       c.protocol.c_str(), c.topology.c_str(), c.workers, c.workers_used,
       c.fallback_reason.c_str(),
       static_cast<unsigned long long>(c.flows),
@@ -283,7 +290,8 @@ void append_case_json(std::string& json, const CaseOut& c, bool last) {
       static_cast<unsigned long long>(c.drains),
       static_cast<unsigned long long>(c.quiet_rounds),
       static_cast<unsigned long long>(c.cross_posts),
-      c.horizon_width_mean_s, c.barrier_wait_sec, c.barrier_wait_frac);
+      c.horizon_width_mean_s, c.barrier_wait_sec, c.barrier_wait_frac,
+      c.barrier_spin_sec, c.barrier_spin_frac);
   json += row;
   if (c.has_static) {
     std::snprintf(row, sizeof(row),
@@ -321,9 +329,10 @@ int main(int argc, char** argv) {
   std::printf("parallel scaling (%s): conditional lookahead, static min-cut "
               "re-run at workers=4\n",
               quick ? "quick" : "full");
-  std::printf("%-8s %-12s %3s %4s %8s %9s %9s %8s %9s %10s %7s %10s\n",
+  std::printf("%-8s %-12s %3s %4s %8s %9s %9s %8s %9s %10s %7s %7s %10s\n",
               "proto", "topo", "w", "used", "wall(s)", "rounds", "drains",
-              "quiet", "posts", "width(us)", "bwait%", "static_rds");
+              "quiet", "posts", "width(us)", "bwait%", "bspin%",
+              "static_rds");
 
   std::string json = "{\n  \"bench\": \"parallel\",\n  \"mode\": \"";
   json += quick ? "quick" : "full";
@@ -335,13 +344,15 @@ int main(int argc, char** argv) {
       for (const int w : worker_counts) {
         const CaseOut c = run_case(t.cfg, t.name, p, w, /*with_static=*/w == 4);
         std::printf(
-            "%-8s %-12s %3d %4d %8.3f %9llu %9llu %8llu %9llu %10.2f %7.2f",
+            "%-8s %-12s %3d %4d %8.3f %9llu %9llu %8llu %9llu %10.2f %7.2f "
+            "%7.2f",
             c.protocol.c_str(), c.topology.c_str(), c.workers, c.workers_used,
             c.wall_sec, static_cast<unsigned long long>(c.rounds),
             static_cast<unsigned long long>(c.drains),
             static_cast<unsigned long long>(c.quiet_rounds),
             static_cast<unsigned long long>(c.cross_posts),
-            c.horizon_width_mean_s * 1e6, c.barrier_wait_frac * 100.0);
+            c.horizon_width_mean_s * 1e6, c.barrier_wait_frac * 100.0,
+            c.barrier_spin_frac * 100.0);
         if (c.has_static) {
           std::printf(" %10llu",
                       static_cast<unsigned long long>(c.static_rounds));

@@ -32,13 +32,38 @@
 // name — and its whole ancestor chain — was fully written before a
 // happens-before edge they are downstream of. Chunk pointers are atomic so
 // a reader's walk through old chunks never races the owner publishing a new
-// one. Nodes are 24 bytes and live until the run ends; that is the memory
-// price of exact parallel determinism, paid only when det mode is on.
+// one.
+//
+// Memory: nodes are 24 bytes, and without reclamation every event ever
+// scheduled keeps one until the run ends. rebase() bounds that. It runs
+// between chunks, while every domain is quiescent, on the set of node ids
+// that can still be read (pending events, mailbox records, executing-event
+// cursors). Setup roots are copied unchanged — their k is a global launch
+// or timer index that later roots compare against. Every other survivor is
+// ranked once with less() and becomes {sigma, kRebased, rank}; the arenas
+// then restart from their first chunk (chunks stay allocated, so memory is
+// bounded by one chunk interval's node count, not by run length). Order
+// survives the rebase:
+//   - survivor vs survivor: (sigma, rank) is exactly the old walk's order;
+//   - survivor vs a node interned later: every survivor was scheduled at or
+//     before the barrier instant T, every later non-root node by an event
+//     executing after T, so sigma decides, as before;
+//   - survivor vs setup root (sigma 0): both walks end comparing a non-null
+//     parent (old P, or kRebased) against kNull, and setup comes first.
+// The second case needs every node interned after the rebase with
+// sigma <= T to be a setup root, i.e. out-of-event schedulings at a barrier
+// must re-enter the setup context first (Simulator::set_setup_index).
+// Anything else holding node ids across the barrier (trace records,
+// deferred completion lists) must be empty or included, which is why traced
+// runs keep the whole arena instead.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -64,8 +89,7 @@ class DetLineage {
 
   ~DetLineage() {
     for (Arena& a : arenas_) {
-      const std::size_t used = (a.count + kChunkSize - 1) >> kChunkShift;
-      for (std::size_t c = 0; c < used; ++c) {
+      for (std::size_t c = 0; c < a.allocated; ++c) {
         delete[] a.chunks[c].load(std::memory_order_relaxed);
       }
     }
@@ -75,16 +99,19 @@ class DetLineage {
   DetLineage& operator=(const DetLineage&) = delete;
 
   // Appends a node to `domain`'s arena. Must be called only by the thread
-  // running that domain.
+  // running that domain. Aborts, naming the node count, once the arena holds
+  // kMaxChunks * kChunkSize nodes — reachable only by runs that never
+  // rebase (traced runs), and checked in every build.
   NodeId add(int domain, Time sigma, NodeId parent, std::uint32_t k) {
     Arena& a = arenas_[static_cast<std::size_t>(domain)];
     const std::size_t i = a.count++;
     const std::size_t c = i >> kChunkShift;
-    PASE_DCHECK(c < kMaxChunks && "lineage arena exhausted");
+    if (c >= kMaxChunks) [[unlikely]] exhausted(domain, i);
     Node* chunk = a.chunks[c].load(std::memory_order_relaxed);
     if (chunk == nullptr) [[unlikely]] {
       chunk = new Node[kChunkSize];
       a.chunks[c].store(chunk, std::memory_order_release);
+      a.allocated = c + 1;
     }
     chunk[i & (kChunkSize - 1)] = Node{sigma, parent, k, 0};
     return (static_cast<NodeId>(domain) << kDomainShift) |
@@ -99,6 +126,8 @@ class DetLineage {
       if (a == b) return false;
       if (a == kNull) return true;   // setup precedes all execution
       if (b == kNull) return false;
+      PASE_DCHECK(a != kRebased && b != kRebased &&
+                  "non-root node interned after a rebase ties a survivor");
       const Node& na = node(a);
       const Node& nb = node(b);
       if (na.sigma != nb.sigma) return na.sigma < nb.sigma;
@@ -114,6 +143,61 @@ class DetLineage {
     for (const Arena& a : arenas_) n += a.count;
     return n;
   }
+  // High-water mark of nodes() over the run, rebases included: the arena's
+  // actual memory bound (telemetry; owner threads quiescent).
+  std::size_t peak_nodes() const { return std::max(peak_nodes_, nodes()); }
+  // rebase() calls so far.
+  std::uint64_t rebases() const { return rebases_; }
+
+  // Rewrites every node id in `refs` (kNull entries are skipped; an id may
+  // appear more than once) into a fresh arena and drops every other node —
+  // see "Memory" in the file comment for the order argument. All owner
+  // threads must be quiescent, and `refs` must name every id that will ever
+  // be read again.
+  void rebase(const std::vector<NodeId*>& refs) {
+    peak_nodes_ = peak_nodes();
+    ++rebases_;
+    live_.clear();
+    for (const NodeId* r : refs) {
+      if (*r != kNull) live_.push_back(Live{*r, node(*r), 0});
+    }
+    std::sort(live_.begin(), live_.end(),
+              [](const Live& a, const Live& b) { return a.id < b.id; });
+    live_.erase(std::unique(live_.begin(), live_.end(),
+                            [](const Live& a, const Live& b) {
+                              return a.id == b.id;
+                            }),
+                live_.end());
+    // Rank the non-roots in the old order; equivalent ids share a rank.
+    ranked_.clear();
+    for (std::uint32_t j = 0; j < live_.size(); ++j) {
+      if (live_[j].n.parent != kNull) ranked_.push_back(j);
+    }
+    std::sort(ranked_.begin(), ranked_.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                return less(live_[a].id, live_[b].id);
+              });
+    std::uint32_t rank = 0;
+    for (std::size_t r = 0; r < ranked_.size(); ++r) {
+      if (r > 0 && less(live_[ranked_[r - 1]].id, live_[ranked_[r]].id)) {
+        ++rank;
+      }
+      Node& n = live_[ranked_[r]].n;
+      n.parent = kRebased;
+      n.k = rank;
+    }
+    for (Arena& a : arenas_) a.count = 0;
+    for (Live& l : live_) {
+      l.fresh = add(static_cast<int>(l.id >> kDomainShift), l.n.sigma,
+                    l.n.parent, l.n.k);
+    }
+    for (NodeId* r : refs) {
+      if (*r == kNull) continue;
+      *r = std::lower_bound(live_.begin(), live_.end(), *r,
+                            [](const Live& l, NodeId id) { return l.id < id; })
+               ->fresh;
+    }
+  }
 
  private:
   struct Node {
@@ -123,6 +207,9 @@ class DetLineage {
     std::uint32_t pad_;
   };
 
+  // Shared parent of every node rebase() rewrites; never a readable node.
+  static constexpr NodeId kRebased = kNull - 1;
+
   static constexpr std::size_t kChunkShift = 16;  // 64Ki nodes (1.5 MiB)
   static constexpr std::size_t kMaxChunks = std::size_t{1} << 14;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
@@ -131,7 +218,23 @@ class DetLineage {
   struct Arena {
     std::unique_ptr<std::atomic<Node*>[]> chunks;  // null until allocated
     std::size_t count = 0;                         // owner thread only
+    std::size_t allocated = 0;  // chunks [0, allocated) are non-null
   };
+
+  // A live id, its node as the old arena held it, and its rebased id.
+  struct Live {
+    NodeId id;
+    Node n;
+    NodeId fresh;
+  };
+
+  [[noreturn]] static void exhausted(int domain, std::size_t count) {
+    std::fprintf(stderr,
+                 "DetLineage: lineage arena exhausted (domain %d holds %zu "
+                 "nodes, limit %zu)\n",
+                 domain, count, kMaxChunks * kChunkSize);
+    std::abort();
+  }
 
   const Node& node(NodeId id) const {
     const std::size_t d = static_cast<std::size_t>(id >> kDomainShift);
@@ -143,6 +246,10 @@ class DetLineage {
   }
 
   std::vector<Arena> arenas_;
+  std::size_t peak_nodes_ = 0;
+  std::uint64_t rebases_ = 0;
+  std::vector<Live> live_;              // rebase scratch, kept for capacity
+  std::vector<std::uint32_t> ranked_;   // ditto
 };
 
 }  // namespace pase::sim

@@ -126,7 +126,7 @@ void ParallelEngine::decide() {
 void ParallelEngine::run_rounds(int d) {
   Simulator& sd = domain(d);
   DomainPub& pub = pub_[static_cast<std::size_t>(d)];
-  double waited = 0.0;
+  Wait waited;
   for (;;) {
     switch (round_) {
       case Round::kDrain:
@@ -164,13 +164,23 @@ void ParallelEngine::run_rounds(int d) {
       case Round::kFinish:
         sd.run(target_);  // inclusive; also advances the clock to target
         waited += round_barrier_.arrive_and_wait([] {});
-        pub.barrier_wait += waited;
-        // Seals the barrier_wait writes: the caller reads them only after
+        pub.barrier_wait += waited.yield;
+        pub.barrier_spin += waited.spin;
+        // Seals the barrier_wait/spin writes: the caller reads them only after
         // domain 0 passes this barrier.
         round_barrier_.arrive_and_wait([] {});
         return;
     }
   }
+}
+
+void ParallelEngine::compact_lineage() {
+  live_nodes_.clear();
+  for (const auto& s : sims_) s->collect_det_nodes(live_nodes_);
+  for (auto& box : mail_) {
+    for (CrossRecord& r : box) live_nodes_.push_back(&r.node);
+  }
+  lineage_.rebase(live_nodes_);
 }
 
 void ParallelEngine::run_until(Time target) {

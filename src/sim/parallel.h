@@ -142,6 +142,24 @@ class ParallelEngine {
     for (const DomainPub& p : pub_) s += p.barrier_wait;
     return s;
   }
+  // Total wall-clock seconds threads spent in the spin phase of round
+  // barriers (summed over domains). With barrier_wait_sec() this is the
+  // whole time non-leaders spent waiting for a round to end.
+  double barrier_spin_sec() const {
+    double s = 0.0;
+    for (const DomainPub& p : pub_) s += p.barrier_spin;
+    return s;
+  }
+
+  // Rebases the shared lineage arena onto the node ids that can still be
+  // read — every linked calendar slot, every mailbox record and each
+  // domain's executing-event node — and drops the rest (DetLineage::rebase),
+  // so lineage memory is bounded by the nodes interned between two calls
+  // instead of by run length. Call only between run_until calls, when no
+  // node id is held anywhere else: deferred records that carry node ids must
+  // be consumed first, and a run that stamps node ids into trace records
+  // must not call it at all.
+  void compact_lineage();
 
  private:
   struct CrossRecord {
@@ -158,6 +176,7 @@ class ParallelEngine {
     Time next_t = kTimeInfinity;  // next pending event time
     Time bound = kTimeInfinity;   // earliest possible cross-domain delivery
     double barrier_wait = 0.0;    // accumulated post-spin barrier wait (sec)
+    double barrier_spin = 0.0;    // accumulated barrier spin phase (sec)
   };
 
   // Sense-reversing barrier; the last arriver runs `leader_fn` before
@@ -165,36 +184,50 @@ class ParallelEngine {
   // edge to every waiter (acq_rel RMW chain into the release store).
   // Waiters spin (with a CPU pause) for a bounded burst — round trips are
   // usually shorter than a context switch — then fall back to yielding.
-  // Returns the wall-clock seconds spent in the yield phase (0 when the
-  // release arrived during the spin burst, and for the leader).
+  // Returns the wall-clock seconds spent in each phase (both 0 for the
+  // leader; yield 0 when the release arrived during the spin burst).
+  struct Wait {
+    double spin = 0.0;
+    double yield = 0.0;
+    Wait& operator+=(const Wait& o) {
+      spin += o.spin;
+      yield += o.yield;
+      return *this;
+    }
+  };
   class Barrier {
    public:
     explicit Barrier(int n) : n_(n) {}
 
     template <typename Fn>
-    double arrive_and_wait(Fn&& leader_fn) {
+    Wait arrive_and_wait(Fn&& leader_fn) {
       const std::uint64_t e = epoch_.load(std::memory_order_relaxed);
       if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
         leader_fn();
         arrived_.store(0, std::memory_order_relaxed);
         epoch_.store(e + 1, std::memory_order_release);
-        return 0.0;
-      }
-      for (int i = 0; i < kSpinIters; ++i) {
-        if (epoch_.load(std::memory_order_acquire) != e) return 0.0;
-        cpu_pause();
+        return {};
       }
       const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < kSpinIters; ++i) {
+        if (epoch_.load(std::memory_order_acquire) != e) {
+          return {seconds(t0, std::chrono::steady_clock::now()), 0.0};
+        }
+        cpu_pause();
+      }
+      const auto t1 = std::chrono::steady_clock::now();
       while (epoch_.load(std::memory_order_acquire) == e) {
         std::this_thread::yield();
       }
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-          .count();
+      return {seconds(t0, t1), seconds(t1, std::chrono::steady_clock::now())};
     }
 
    private:
     static constexpr int kSpinIters = 4096;
+    static double seconds(std::chrono::steady_clock::time_point a,
+                          std::chrono::steady_clock::time_point b) {
+      return std::chrono::duration<double>(b - a).count();
+    }
     static void cpu_pause() {
 #if defined(__x86_64__) || defined(__i386__)
       __builtin_ia32_pause();
@@ -256,6 +289,7 @@ class ParallelEngine {
   bool threads_started_ = false;
   std::function<void(int)> thread_init_;
   std::function<void(RawFn, void*, void*)> orphan_deleter_;
+  std::vector<DetLineage::NodeId*> live_nodes_;  // compact_lineage scratch
 };
 
 }  // namespace pase::sim

@@ -4,9 +4,10 @@
 // from a seed printed in its output.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 namespace pase::sim {
 
@@ -26,7 +27,10 @@ class Rng {
 
   // Exponential with the given mean (> 0). Used for Poisson inter-arrivals.
   double exponential(double mean) {
-    assert(mean > 0.0);
+    if (!(mean > 0.0)) {
+      throw std::invalid_argument("exponential mean must be > 0, got " +
+                                  std::to_string(mean));
+    }
     return std::exponential_distribution<double>(1.0 / mean)(gen_);
   }
 

@@ -403,6 +403,17 @@ void Simulator::enable_det(std::uint32_t domain_id, DetLineage* lineage) {
   det_nodes_.resize(slot_chunks_.size() << kSlotChunkShift);
 }
 
+void Simulator::collect_det_nodes(std::vector<DetLineage::NodeId*>& out) {
+  PASE_DCHECK(det_);
+  const auto chain = [&](std::uint32_t i) {
+    for (; i != kNil; i = slot_at(i).next) out.push_back(&det_nodes_[i]);
+  };
+  for (const std::uint32_t head : bucket_heads_) chain(head);
+  chain(inf_list_);
+  chain(staged_list_);
+  if (cur_node_ != DetLineage::kNull) out.push_back(&cur_node_);
+}
+
 Time Simulator::next_event_time() {
   if (staged_list_ != kNil || top_count_ == 0) {
     if (!locate_top()) return kTimeInfinity;

@@ -184,6 +184,12 @@ class Simulator {
     return lineage_->add(static_cast<int>(domain_id_), now_, cur_node_,
                          cur_k_++);
   }
+  // Appends a pointer to every lineage node id this domain can still read:
+  // the node of every linked slot (calendar buckets, the past-horizon list
+  // and the staging list, cancelled-but-still-chained staged slots included)
+  // and the executing event's node when set. Input to DetLineage::rebase at
+  // a quiescent barrier; the pointers stay valid until the next scheduling.
+  void collect_det_nodes(std::vector<DetLineage::NodeId*>& out);
   // Injects a cross-domain event carrying a node captured in the source
   // domain.
   EventId schedule_injected(Time t, DetLineage::NodeId node, RawFn fn,

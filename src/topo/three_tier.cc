@@ -1,13 +1,21 @@
 #include "topo/three_tier.h"
 
-#include <cassert>
+#include <stdexcept>
 #include <string>
 
 namespace pase::topo {
 
 ThreeTier build_three_tier(sim::Simulator& sim, const ThreeTierConfig& cfg,
                            const QueueFactory& make_queue) {
-  assert(cfg.num_tors % cfg.tors_per_agg == 0);
+  // Always-on validation (not assert): direct callers bypass ScenarioConfig
+  // validation, and NDEBUG builds would otherwise divide by zero or silently
+  // drop the ToRs past the last full aggregation group.
+  if (cfg.tors_per_agg < 1 || cfg.num_tors % cfg.tors_per_agg != 0) {
+    throw std::invalid_argument(
+        "three-tier num_tors must be a multiple of tors_per_agg >= 1, "
+        "got num_tors=" + std::to_string(cfg.num_tors) +
+        " tors_per_agg=" + std::to_string(cfg.tors_per_agg));
+  }
   ThreeTier t;
   t.config = cfg;
   t.topo = std::make_unique<Topology>(sim);

@@ -7,7 +7,8 @@
 // heavy-tailed: most flows are tiny, most *bytes* live in elephants.
 #pragma once
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,9 +22,17 @@ class PiecewiseCdf {
  public:
   explicit PiecewiseCdf(std::vector<std::pair<double, double>> points)
       : points_(std::move(points)) {
-    assert(points_.size() >= 2);
-    assert(points_.front().second == 0.0);
-    assert(points_.back().second == 1.0);
+    if (points_.size() < 2) {
+      throw std::invalid_argument(
+          "piecewise CDF needs at least 2 points, got " +
+          std::to_string(points_.size()));
+    }
+    if (points_.front().second != 0.0 || points_.back().second != 1.0) {
+      throw std::invalid_argument(
+          "piecewise CDF must run from probability 0 to 1, got " +
+          std::to_string(points_.front().second) + " to " +
+          std::to_string(points_.back().second));
+    }
   }
 
   double sample(sim::Rng& rng) const {

@@ -1,7 +1,8 @@
 #include "workload/flow_generator.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace pase::workload {
 
@@ -83,9 +84,18 @@ void emit_incast_query(const WorkloadConfig& cfg, sim::Rng& rng, double t,
 }  // namespace
 
 std::vector<transport::Flow> generate_flows(const WorkloadConfig& cfg) {
-  assert(cfg.num_hosts >= 2);
-  assert(cfg.pattern != Pattern::kLeftRight ||
-         (cfg.left_hosts > 0 && cfg.left_hosts < cfg.num_hosts));
+  if (cfg.num_hosts < 2) {
+    throw std::invalid_argument(
+        "workload needs at least 2 hosts, got num_hosts=" +
+        std::to_string(cfg.num_hosts));
+  }
+  if (cfg.pattern == Pattern::kLeftRight &&
+      (cfg.left_hosts <= 0 || cfg.left_hosts >= cfg.num_hosts)) {
+    throw std::invalid_argument(
+        "left-right workload needs 0 < left_hosts < num_hosts, got "
+        "left_hosts=" + std::to_string(cfg.left_hosts) +
+        " num_hosts=" + std::to_string(cfg.num_hosts));
+  }
   sim::Rng rng(cfg.seed);
   std::vector<transport::Flow> flows;
   flows.reserve(static_cast<std::size_t>(cfg.num_flows) +

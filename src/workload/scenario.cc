@@ -998,6 +998,12 @@ std::optional<ScenarioResult> try_run_parallel(
     }
     engine.run_until(target);
     apply_completions();
+    // Every domain is quiescent and the deferred lists are empty, so the
+    // calendars, mailboxes and executing-event cursors hold every node id
+    // the run can still read: rebase the lineage onto them and reuse the
+    // arena for the next chunk. Trace records keep the node of every
+    // executed event until merge_buffers, so traced runs keep the arena.
+    if (tbufs.empty()) engine.compact_lineage();
     recycle_at_barrier();
   }
 
@@ -1071,6 +1077,9 @@ std::optional<ScenarioResult> try_run_parallel(
   reg.counter("parallel.drains") = engine.drains_executed();
   reg.counter("parallel.quiet_rounds") = engine.quiet_rounds();
   reg.gauge("parallel.horizon_width_mean") = engine.mean_horizon_width();
+  reg.gauge("parallel.barrier_spin_sec") = engine.barrier_spin_sec();
+  reg.counter("parallel.lineage_peak_nodes") = engine.lineage().peak_nodes();
+  reg.counter("parallel.lineage_compactions") = engine.lineage().rebases();
   if (result.telemetry) {
     reg.counter("telemetry.samples") = result.telemetry->samples;
     reg.counter("telemetry.windows") = result.telemetry->windows.size();

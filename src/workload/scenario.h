@@ -185,7 +185,9 @@ struct ScenarioResult {
   // same copyability reason; serialize with TelemetrySummary::write_jsonl.
   std::shared_ptr<const obs::TelemetrySummary> telemetry;
   // Aggregate run metrics (fabric drop/mark totals, engine event counts,
-  // parallel round statistics), name-sorted. sweep_to_json serializes this.
+  // parallel round and lineage statistics), name-sorted. sweep_to_json
+  // serializes this. All are functions of the config except the wall-clock
+  // gauge parallel.barrier_spin_sec.
   obs::MetricsSnapshot metrics;
 
   // Metric accessors dispatch on the aggregation the run used: exact

@@ -13,11 +13,13 @@
 
 #include <cstdint>
 #include <iterator>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "exp/sweep.h"
 #include "net/droptail_queue.h"
+#include "sim/det_lineage.h"
 #include "sim/simulator.h"
 #include "topo/builder.h"
 #include "topo/partition.h"
@@ -210,6 +212,153 @@ TEST(ParallelEngine, SweepSurfacesEmptyFallbackReasonForAllSixProfiles) {
   const std::string json = exp::sweep_to_json("fallback", cases, results);
   EXPECT_NE(json.find("\"workers_used\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"parallel_fallback_reason\": \"\""), std::string::npos);
+}
+
+// --- Lineage compaction -----------------------------------------------------
+
+// Rebasing the lineage at a barrier must not move a single comparison. Two
+// arenas intern the same seeded random event forest; one is rebased at every
+// barrier, the other keeps everything. Event times sit on a coarse grid and
+// children often fire at their parent's instant, so same-sigma ties — the
+// only comparisons the lineage decides — are the common case. Setup roots
+// mix control-plane timers (k below setup_base, some pending across many
+// barriers) with flow launches interned after earlier rebases. At every
+// barrier both arenas must agree on every pair of pending events and the
+// executing-event cursor: once the interval's launches are staged (fresh
+// roots against survivors), just before the rebase (fresh children against
+// survivors of the previous one) and just after it.
+TEST(DetLineage, RebasePreservesOrder) {
+  using Id = sim::DetLineage::NodeId;
+  constexpr Id kNull = sim::DetLineage::kNull;
+  constexpr std::uint32_t kSetupBase = 6;
+  constexpr int kDomains = 3;
+  sim::DetLineage full(kDomains);
+  sim::DetLineage rebased(kDomains);
+  std::mt19937_64 rng(20140817);
+  const auto pick = [&rng](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+
+  struct Ev {
+    double t;
+    Id a;  // node in `full`
+    Id b;  // node in `rebased`
+  };
+  std::vector<Ev> pending;
+  const auto add_root = [&](std::uint32_t k, double t) {
+    const int d = pick(kDomains);
+    pending.push_back({t, full.add(d, 0.0, kNull, k),
+                       rebased.add(d, 0.0, kNull, k)});
+  };
+  // Control-plane timers: some fire early, two stay pending to the end.
+  for (std::uint32_t k = 0; k < kSetupBase; ++k) {
+    add_root(k, k < 2 ? 1000.0 : static_cast<double>(pick(4)));
+  }
+
+  Ev cursor{0.0, kNull, kNull};
+  std::uint32_t next_launch = 0;
+  const auto expect_agree = [&](const char* when, int barrier) {
+    std::vector<Ev> live = pending;
+    if (cursor.a != kNull) live.push_back(cursor);
+    for (const Ev& x : live) {
+      for (const Ev& y : live) {
+        ASSERT_EQ(full.less(x.a, y.a), rebased.less(x.b, y.b))
+            << when << " barrier " << barrier;
+      }
+    }
+  };
+
+  for (int barrier = 1; barrier <= 40; ++barrier) {
+    const double target = 3.0 * barrier;
+    // Flow launches staged for this interval, strictly after the previous
+    // barrier: setup roots interned after the previous rebase.
+    for (int j = 0; j < 24; ++j) {
+      add_root(kSetupBase + next_launch++, target - 2.0 + pick(3));
+    }
+    expect_agree("after staging", barrier);
+    // Execute every pending event at or before the target; each schedules
+    // up to three children at its own instant or one step later.
+    for (std::size_t i = 0; i < pending.size();) {
+      if (pending[i].t > target) {
+        ++i;
+        continue;
+      }
+      const Ev ev = pending[i];
+      pending[i] = pending.back();
+      pending.pop_back();
+      cursor = ev;
+      const int children = pending.size() < 300 ? pick(4) : 0;
+      for (int k = 0; k < children; ++k) {
+        const int d = pick(kDomains);
+        const double t = ev.t + static_cast<double>(pick(4) / 2);
+        pending.push_back(
+            {t, full.add(d, ev.t, ev.a, static_cast<std::uint32_t>(k)),
+             rebased.add(d, ev.t, ev.b, static_cast<std::uint32_t>(k))});
+      }
+    }
+    expect_agree("before rebase", barrier);
+
+    std::vector<Id*> refs;
+    for (Ev& e : pending) refs.push_back(&e.b);
+    refs.push_back(&cursor.b);
+    if (!pending.empty()) refs.push_back(&pending.front().b);  // duplicate
+    Id none = kNull;
+    refs.push_back(&none);
+    rebased.rebase(refs);
+    EXPECT_EQ(none, kNull);
+    EXPECT_EQ(rebased.rebases(), static_cast<std::uint64_t>(barrier));
+    expect_agree("after rebase", barrier);
+  }
+  EXPECT_LT(rebased.nodes(), full.nodes() / 4);
+  EXPECT_LE(rebased.peak_nodes(), full.nodes());
+  EXPECT_EQ(full.peak_nodes(), full.nodes());
+}
+
+// Compaction bounds lineage memory by one chunk's worth of nodes, not by
+// run length: quadrupling the flows of a steady any-to-any workload (same
+// load, so a run about four times as long) must leave the node high-water
+// mark nearly flat. Uniform sizes keep the per-chunk load steady, and the
+// shorter run already spans several chunks, so its peak is representative.
+TEST(ParallelEngine, LineagePeakIndependentOfRunLength) {
+  workload::ScenarioConfig cfg;
+  cfg.protocol = workload::Protocol::kDctcp;
+  cfg.topology = workload::ScenarioConfig::TopologyKind::kFatTree;
+  cfg.fattree.k = 4;
+  cfg.traffic.pattern = workload::Pattern::kIntraRackRandom;
+  cfg.traffic.size_dist = workload::SizeDistribution::kUniform;
+  cfg.traffic.load = 0.3;
+  cfg.traffic.seed = 31;
+  cfg.workers = 2;
+
+  const auto metric = [](const workload::ScenarioResult& r,
+                         const char* name) {
+    for (const auto& m : r.metrics) {
+      if (m.name == name) return m.value;
+    }
+    ADD_FAILURE() << "metric " << name << " missing";
+    return 0.0;
+  };
+
+  cfg.traffic.num_flows = 400;
+  const workload::ScenarioResult shorter = workload::run_scenario(cfg);
+  cfg.traffic.num_flows = 1600;
+  const workload::ScenarioResult longer = workload::run_scenario(cfg);
+  ASSERT_EQ(shorter.workers_used, 2) << shorter.parallel_fallback_reason;
+  ASSERT_EQ(longer.workers_used, 2) << longer.parallel_fallback_reason;
+  EXPECT_EQ(shorter.unfinished(), 0u);
+  EXPECT_EQ(longer.unfinished(), 0u);
+
+  const double ev_short = metric(shorter, "engine.executed_events");
+  const double ev_long = metric(longer, "engine.executed_events");
+  const double peak_short = metric(shorter, "parallel.lineage_peak_nodes");
+  const double peak_long = metric(longer, "parallel.lineage_peak_nodes");
+  EXPECT_GE(ev_long, 3.0 * ev_short);
+  EXPECT_GT(peak_short, 0.0);
+  EXPECT_LT(peak_long, 1.5 * peak_short)
+      << "peaks " << peak_short << " -> " << peak_long << " for events "
+      << ev_short << " -> " << ev_long;
+  EXPECT_GT(metric(longer, "parallel.lineage_compactions"),
+            metric(shorter, "parallel.lineage_compactions"));
 }
 
 // --- Partitioner ------------------------------------------------------------

@@ -1,7 +1,11 @@
 // Tests for the discrete-event engine: ordering, cancellation, timers, RNG.
 #include <gtest/gtest.h>
 
-#include <cstdint>\n#include <memory>\n#include <utility>\n#include <vector>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -274,6 +278,18 @@ TEST(Rng, ExponentialHasRequestedMean) {
   const int n = 200000;
   for (int i = 0; i < n; ++i) sum += r.exponential(2.5);
   EXPECT_NEAR(sum / n, 2.5, 0.05);
+}
+
+TEST(Rng, ExponentialRejectsNonPositiveMeanEvenInRelease) {
+  Rng r(11);
+  EXPECT_THROW(r.exponential(0.0), std::invalid_argument);
+  EXPECT_THROW(r.exponential(-1.0), std::invalid_argument);
+  try {
+    r.exponential(-2.5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("-2.5"), std::string::npos)
+        << e.what();
+  }
 }
 
 

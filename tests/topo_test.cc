@@ -1,6 +1,9 @@
 // Topology construction and routing tests.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "net/droptail_queue.h"
 #include "topo/single_rack.h"
 #include "topo/three_tier.h"
@@ -71,6 +74,23 @@ TEST(ThreeTier, StructureMatchesPaperBaseline) {
   for (auto* tor : tt.tors) EXPECT_EQ(tor->num_ports(), 41);
   // Each agg: 2 ToR links + 1 core link.
   for (auto* agg : tt.aggs) EXPECT_EQ(agg->num_ports(), 3);
+}
+
+TEST(ThreeTier, MalformedConfigThrowsEvenInRelease) {
+  sim::Simulator sim;
+  ThreeTierConfig ragged;
+  ragged.num_tors = 5;  // not a multiple of tors_per_agg = 2
+  EXPECT_THROW(build_three_tier(sim, ragged, droptail()),
+               std::invalid_argument);
+  ThreeTierConfig no_aggs;
+  no_aggs.tors_per_agg = 0;
+  try {
+    build_three_tier(sim, no_aggs, droptail());
+    ADD_FAILURE() << "tors_per_agg = 0 built a topology";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("tors_per_agg=0"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ThreeTier, CoreRttIs300us) {

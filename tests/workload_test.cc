@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "stats/summary.h"
+#include "workload/distributions.h"
 #include "workload/flow_generator.h"
 
 namespace pase::workload {
@@ -187,6 +190,38 @@ TEST(FlowGenerator, BackgroundFlowsStartAtZeroAndAreHuge) {
 }
 
 // --- stats ---------------------------------------------------------------------
+
+TEST(FlowGenerator, MalformedConfigThrowsEvenInRelease) {
+  WorkloadConfig lone = base_cfg();
+  lone.num_hosts = 1;
+  EXPECT_THROW(generate_flows(lone), std::invalid_argument);
+
+  WorkloadConfig lr = base_cfg();
+  lr.pattern = Pattern::kLeftRight;
+  lr.left_hosts = 20;  // == num_hosts: no right side
+  try {
+    generate_flows(lr);
+    ADD_FAILURE() << "left_hosts == num_hosts generated flows";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("left_hosts=20"), std::string::npos)
+        << e.what();
+  }
+  lr.left_hosts = 0;
+  EXPECT_THROW(generate_flows(lr), std::invalid_argument);
+}
+
+TEST(PiecewiseCdf, MalformedPointsThrowEvenInRelease) {
+  EXPECT_THROW(PiecewiseCdf({{1e3, 0.0}}), std::invalid_argument);
+  EXPECT_THROW(PiecewiseCdf({{1e3, 0.1}, {1e4, 1.0}}), std::invalid_argument);
+  try {
+    PiecewiseCdf({{1e3, 0.0}, {1e4, 0.9}});
+    ADD_FAILURE() << "a CDF ending at 0.9 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("0.9"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW(PiecewiseCdf({{1e3, 0.0}, {1e4, 1.0}}));
+}
 
 TEST(Stats, MeanAndPercentile) {
   std::vector<double> xs{1, 2, 3, 4, 5};
