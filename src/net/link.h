@@ -23,7 +23,7 @@ class Link {
        std::string name = {})
       : sim_(&sim), rate_bps_(rate_bps), delay_(prop_delay),
         name_(std::move(name)) {
-    register_prefetch_hints();
+    register_event_fns();
   }
 
   Link(const Link&) = delete;
@@ -61,7 +61,7 @@ class Link {
   // transmitting node. Must be called before any packet is in flight.
   void bind_domain(sim::Simulator& s) {
     sim_ = &s;
-    register_prefetch_hints();
+    register_event_fns();
   }
   // Marks the link as a cut edge: deliveries are posted into the destination
   // domain's mailbox (ordered by a lineage node captured here) instead of being
@@ -99,19 +99,29 @@ class Link {
   static void on_tx_done(void* self, void* arg);
   static void on_deliver(void* self, void* packet);
 
+  // Registers the two event fns with the link's simulator; a rebound link
+  // re-registers onto its domain clock, so every domain of a partitioned
+  // run knows them.
+  //
   // Engine prefetch helpers (see Simulator::set_prefetch_hint): one event
   // ahead of a delivery, pull the destination node's first line (its route
   // or demux state rides there); one event ahead of a tx-done, pull the
   // feeding queue's first line (the idle kick probes it). Pure prefetch —
   // no state is read beyond this link's own (already warm) fields.
-  void register_prefetch_hints() {
+  void register_event_fns() {
     sim_->set_prefetch_hint(&Link::on_tx_done, &Link::txdone_hint);
     sim_->set_prefetch_hint(&Link::on_deliver, &Link::deliver_hint);
-    // Profiler labels ride the same per-domain registration: a rebound link
-    // re-registers onto its domain clock, so every engine can attribute its
-    // dispatches whether the run is sequential or partitioned.
+    // Profiler labels, so every domain can attribute its dispatches.
     sim_->set_profile_label(&Link::on_tx_done, "link.tx_done");
     sim_->set_profile_label(&Link::on_deliver, "link.deliver");
+    // Both events carry the released in-flight packet; one still pending
+    // when its simulator is destroyed (a run that stops with packets on the
+    // wire) hands it back to the pool.
+    sim_->set_payload_deleter(&Link::on_tx_done, &Link::free_packet);
+    sim_->set_payload_deleter(&Link::on_deliver, &Link::free_packet);
+  }
+  static void free_packet(void* packet) {
+    PacketPool::local().release(static_cast<Packet*>(packet));
   }
   static void txdone_hint(void* self, void* arg);
   static void deliver_hint(void* self, void* arg);

@@ -4,7 +4,7 @@ namespace pase::obs {
 
 #if PASE_OBS_ENABLED
 namespace detail {
-thread_local TraceBuffer* tls_buffer = nullptr;
+constinit thread_local TraceBuffer* tls_buffer = nullptr;
 }
 #endif
 

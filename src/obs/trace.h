@@ -172,7 +172,11 @@ class TraceBuffer {
 
 #if PASE_OBS_ENABLED
 namespace detail {
-extern thread_local TraceBuffer* tls_buffer;
+// constinit: every includer knows the variable has no dynamic initializer,
+// so accesses are direct TLS reads and writes instead of calls through a
+// thread_local wrapper, which UBSan's null check misreports as a store to
+// a null pointer.
+extern constinit thread_local TraceBuffer* tls_buffer;
 }
 // The per-thread trace sink, or nullptr (the default). Emit sites branch on
 // this; the harness installs a buffer only for traced runs.

@@ -68,7 +68,7 @@ struct RunContext {
   // Parallel runs partition the topology into per-worker domains, each with
   // its own Simulator. Profiles that build per-node machinery (PDQ's
   // per-port rate controllers) must place it on the owning node's domain
-  // clock; sequential runs leave the resolver empty and everything lives on
+  // clock; one-domain runs leave the resolver empty and everything lives on
   // `sim`.
   std::function<sim::Simulator&(net::NodeId)> sim_resolver = {};
   sim::Simulator& sim_of(net::NodeId node) {
@@ -109,9 +109,10 @@ class TransportProfile {
   // all of its runtime state must be per-node (endpoint loops, per-port
   // controllers, arbitration shards), with cross-node interaction only via
   // Link deliveries — which the engine routes through cut-link mailboxes.
-  // Conservative default: profiles must opt in. All six built-ins are
-  // parallel-safe; when an external profile declines, the harness falls back
-  // to sequential execution and records why in
+  // Every profile, safe or not, must keep endpoint construction passive (see
+  // (b) below). Conservative default: profiles must opt in. All six
+  // built-ins are parallel-safe; when an external profile declines, the
+  // harness runs it on one domain and records why in
   // ScenarioResult::parallel_fallback_reason.
   virtual bool parallel_safe() const { return false; }
 
@@ -127,7 +128,13 @@ class TransportProfile {
     return nullptr;
   }
 
-  // (b) endpoints, invoked per flow at its start time.
+  // (b) endpoints, built for each flow at the chunk barrier before the
+  // chunk that holds its start time (the harness stages flows 10 ms of
+  // simulated time at a time, outside any event). Construction,
+  // before_flow_start and the demux registration that follows must be
+  // passive: schedule no event, since only the sender's start() — run by a
+  // harness-scheduled event at the flow's start time — may put the flow on
+  // a calendar. The harness checks this in PASE_DCHECK builds.
   virtual std::unique_ptr<transport::Sender> make_sender(
       RunContext& ctx, const transport::Flow& flow, net::Host& src) const = 0;
   virtual std::unique_ptr<transport::Receiver> make_receiver(

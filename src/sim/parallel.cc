@@ -8,12 +8,16 @@
 namespace pase::sim {
 
 ParallelEngine::ParallelEngine(int domains)
-    : lineage_(domains), start_barrier_(domains), round_barrier_(domains) {
+    : lineage_(domains > 1 ? domains : 0),
+      start_barrier_(domains),
+      round_barrier_(domains) {
   PASE_DCHECK(domains >= 1);
   sims_.reserve(static_cast<std::size_t>(domains));
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
-    sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
+    if (domains > 1) {
+      sims_.back()->enable_det(static_cast<std::uint32_t>(d), &lineage_);
+    }
   }
   mail_.resize(static_cast<std::size_t>(domains) *
                static_cast<std::size_t>(domains));
@@ -27,10 +31,14 @@ ParallelEngine::~ParallelEngine() {
     start_barrier_.arrive_and_wait([] {});
     for (auto& t : threads_) t.join();
   }
-  if (orphan_deleter_) {
-    for (auto& box : mail_) {
-      for (const CrossRecord& r : box) orphan_deleter_(r.fn, r.ctx, r.arg);
-      box.clear();
+  // A run can end with deliveries still in a mailbox: free their payloads
+  // as the destination calendar frees those of its own pending events.
+  for (int s = 0; s < num_domains(); ++s) {
+    for (int d = 0; d < num_domains(); ++d) {
+      for (const CrossRecord& r : mailbox(s, d)) {
+        domain(d).free_payload(r.fn, r.arg);
+      }
+      mailbox(s, d).clear();
     }
   }
 }
@@ -175,6 +183,7 @@ void ParallelEngine::run_rounds(int d) {
 }
 
 void ParallelEngine::compact_lineage() {
+  if (num_domains() == 1) return;
   live_nodes_.clear();
   for (const auto& s : sims_) s->collect_det_nodes(live_nodes_);
   for (auto& box : mail_) {
@@ -184,14 +193,14 @@ void ParallelEngine::compact_lineage() {
 }
 
 void ParallelEngine::run_until(Time target) {
-  PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
+  if (!threads_started_) start_threads();
   if (num_domains() == 1) {
-    // Degenerate single-domain engine: plain sequential execution.
+    // Single domain: plain sequential execution, no rounds.
     domain(0).run(target);
     now_ = target;
     return;
   }
-  if (!threads_started_) start_threads();
+  PASE_DCHECK(lookahead_ > 0.0 && "parallel run requires positive lookahead");
   const std::uint64_t rounds_before = rounds_;
   const std::uint64_t posts_before = cross_posts();
   const std::uint64_t drains_before = drains_;

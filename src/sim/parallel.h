@@ -20,7 +20,7 @@
 //   finish  — H passed the caller's target: every domain runs inclusively to
 //             the target and sets its clock there, exactly the semantics of
 //             Simulator::run(target), so the chunked scenario driver behaves
-//             identically to its sequential form.
+//             identically to its one-domain form.
 //
 // The safe bound defaults to next_t + L (the static min-cut window). A
 // caller-installed horizon probe can widen it per domain per round to
@@ -39,6 +39,12 @@
 // consumers drain only between them. The probe influences only *when* events
 // run, never their order, so traces stay bit-identical across worker counts
 // and probe choices.
+//
+// One domain is the sequential case of the same engine, not a separate
+// driver: it runs without det mode (same-instant ties fall back to the
+// simulator's FIFO sequence, which is the order lineage replays), posts
+// nothing, needs no lookahead and starts no thread — run_until is a plain
+// Simulator::run on the caller's thread after the one-time thread init.
 #pragma once
 
 #include <atomic>
@@ -54,8 +60,9 @@ namespace pase::sim {
 
 class ParallelEngine {
  public:
-  // Creates `domains` Simulators. Worker threads (one per domain beyond the
-  // caller's, which executes domain 0) start lazily on the first run_until.
+  // Creates `domains` Simulators, in det mode when there is more than one.
+  // Worker threads (one per domain beyond the caller's, which executes
+  // domain 0) start lazily on the first run_until.
   explicit ParallelEngine(int domains);
   ~ParallelEngine();
 
@@ -64,13 +71,15 @@ class ParallelEngine {
 
   int num_domains() const { return static_cast<int>(sims_.size()); }
   Simulator& domain(int d) { return *sims_[static_cast<std::size_t>(d)]; }
-  // The shared lineage arena (every domain runs in det mode); exposed so
-  // callers can order out-of-band records (e.g. deferred completion
-  // callbacks) exactly as the sequential run would have fired them.
+  // The shared lineage arena (every domain of a multi-domain engine runs in
+  // det mode); exposed so callers can order out-of-band records (e.g.
+  // deferred completion callbacks) exactly as the sequential run would have
+  // fired them. Empty at one domain, whose single calendar already executes
+  // in that order.
   DetLineage& lineage() { return lineage_; }
 
   // Minimum propagation delay over all cut links; must be positive and set
-  // before the first run_until.
+  // before the first run_until of a multi-domain engine.
   void set_lookahead(Time lookahead) { lookahead_ = lookahead; }
   Time lookahead() const { return lookahead_; }
 
@@ -88,13 +97,6 @@ class ParallelEngine {
   // prewarming.
   void set_thread_init(std::function<void(int domain)> fn) {
     thread_init_ = std::move(fn);
-  }
-
-  // Frees the payload of records still in flight at destruction (a run may
-  // end with cross-domain deliveries pending). The engine does not know what
-  // `arg` owns; the network layer does.
-  void set_orphan_deleter(std::function<void(RawFn, void*, void*)> fn) {
-    orphan_deleter_ = std::move(fn);
   }
 
   // Posts a cross-domain event: fires at `deliver_t` in `dst`, ordered by a
@@ -158,7 +160,7 @@ class ParallelEngine {
   // instead of by run length. Call only between run_until calls, when no
   // node id is held anywhere else: deferred records that carry node ids must
   // be consumed first, and a run that stamps node ids into trace records
-  // must not call it at all.
+  // must not call it at all. A no-op at one domain (no lineage).
   void compact_lineage();
 
  private:
@@ -288,7 +290,6 @@ class ParallelEngine {
   std::vector<std::thread> threads_;
   bool threads_started_ = false;
   std::function<void(int)> thread_init_;
-  std::function<void(RawFn, void*, void*)> orphan_deleter_;
   std::vector<DetLineage::NodeId*> live_nodes_;  // compact_lineage scratch
 };
 

@@ -26,10 +26,19 @@ Simulator::Simulator() {
 }
 
 Simulator::~Simulator() {
-  // Pending heap closures (and cancelled-while-staged leftovers) are the
-  // only slot contents that own memory; fired and cancelled slots were
-  // already downgraded to kRaw.
-  for (std::uint32_t i = 0; i < num_slots_; ++i) destroy_payload(slot_at(i));
+  // Pending heap closures (and cancelled-while-staged leftovers) own their
+  // captures; a pending raw event may carry an object its registered
+  // deleter frees. Fired and cancelled slots have seq 0 and were already
+  // downgraded to kRaw.
+  for (std::uint32_t i = 0; i < num_slots_; ++i) {
+    Slot& s = slot_at(i);
+    if (s.seq != 0 && s.kind == Kind::kRaw) {
+      RawPayload rp;
+      std::memcpy(&rp, s.payload, sizeof(rp));
+      free_payload(s.fn, rp.arg);
+    }
+    destroy_payload(s);
+  }
 }
 
 

@@ -239,6 +239,37 @@ class Simulator {
     }
   }
 
+  // Teardown ownership of raw payloads. A raw event's arg is opaque to the
+  // engine; a caller whose events carry an owned object (a link's in-flight
+  // packet) registers how to free it, and the destructor frees the arg of
+  // every still-pending event of that fn. Registered per fn like prefetch
+  // hints; fns without a deleter own nothing.
+  using PayloadDeleter = void (*)(void* arg);
+  void set_payload_deleter(RawFn fn, PayloadDeleter del) {
+    for (std::uint32_t i = 0; i < num_deleters_; ++i) {
+      if (deleters_[i].fn == fn) {
+        deleters_[i].del = del;
+        return;
+      }
+    }
+    PASE_DCHECK(num_deleters_ < kMaxPayloadDeleters &&
+                "too many payload deleters");
+    if (num_deleters_ < kMaxPayloadDeleters) {
+      deleters_[num_deleters_++] = DeleterEntry{fn, del};
+    }
+  }
+  // Frees `arg` with the deleter registered for `fn` (no-op without one),
+  // for a raw event that leaves the engine unfired without passing through
+  // this calendar, such as a delivery still in a ParallelEngine mailbox.
+  void free_payload(RawFn fn, void* arg) const {
+    for (std::uint32_t i = 0; i < num_deleters_; ++i) {
+      if (deleters_[i].fn == fn) {
+        deleters_[i].del(arg);
+        return;
+      }
+    }
+  }
+
   // --- Engine self-profiler -----------------------------------------------
   //
   // Off by default: the per-dispatch cost is one predictable not-taken
@@ -455,6 +486,15 @@ class Simulator {
   };
   HintEntry hints_[kMaxPrefetchHints] = {};
   std::uint32_t num_hints_ = 0;
+
+  // Payload-deleter registry (see set_payload_deleter); read at teardown.
+  static constexpr std::uint32_t kMaxPayloadDeleters = 4;
+  struct DeleterEntry {
+    RawFn fn;
+    PayloadDeleter del;
+  };
+  DeleterEntry deleters_[kMaxPayloadDeleters] = {};
+  std::uint32_t num_deleters_ = 0;
 
   // Profiler registry and tallies (cold; only touched when profiling_).
   // profile_count stays out of line so the step() hot loop carries nothing

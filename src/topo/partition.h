@@ -12,7 +12,7 @@
 // Every link whose endpoints land in different domains is a cut link; the
 // minimum propagation delay over the cuts is the engine's lookahead. A
 // partition with a zero-delay cut link (or a single domain) is unusable and
-// the scenario harness falls back to sequential execution.
+// the scenario harness runs on one domain instead.
 #pragma once
 
 #include <vector>

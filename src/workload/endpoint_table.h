@@ -43,8 +43,6 @@ struct EndpointSlot {
   // the StreamingFlowStats when the slot retires.
   stats::FlowRecord record;
   bool receiver_done = false;  // receiver reported completion
-  bool done = false;           // record finalized (finished or terminated)
-  bool queued_retire = false;  // already on a retire list
   bool in_use = false;
 };
 

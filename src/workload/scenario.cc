@@ -20,6 +20,7 @@
 #include "obs/trace_sink.h"
 #include "proto/registry.h"
 #include "proto/transport_profile.h"
+#include "sim/dcheck.h"
 #include "sim/parallel.h"
 #include "topo/builder.h"
 #include "topo/partition.h"
@@ -284,182 +285,6 @@ void prewarm_demux(topo::Topology& topo,
   }
 }
 
-// --- Sequential driver -------------------------------------------------------
-//
-// Flows exist in three forms over their life:
-//   pending    — a compact descriptor in Run::flows plus one inline launch
-//                event; no endpoints, no demux entries, no per-flow heap.
-//   live       — an EndpointSlot: sender/receiver placement-constructed into
-//                the profile's slab arenas, SoA row bound, demux registered.
-//   retired    — after sender finish + receiver completion (or termination),
-//                one full 10 ms chunk of quarantine (longer than any
-//                in-flight packet's remaining life: path delays are
-//                microseconds and finished senders cancel their timers),
-//                then the endpoints are destroyed and the slot recycled.
-// Packet counters are accumulated into the run at retirement — sums are
-// commutative, so totals match the old everything-lives-forever driver bit
-// for bit, as the golden fingerprints verify.
-
-struct Run {
-  sim::Simulator sim;
-  std::unique_ptr<topo::BuiltTopology> built;
-  std::unique_ptr<proto::ControlPlane> control;
-  // Declared after `control` so endpoints are destroyed before the control
-  // plane (PASE receivers hold callbacks into it), and before `sim` falls
-  // out of scope via the struct's own teardown order.
-  EndpointTable table;
-  std::vector<stats::FlowRecord> records;  // exact mode: index == flow index
-  std::unique_ptr<stats::StreamingFlowStats> streaming;  // streaming mode
-  std::vector<bool> activated;  // flow index -> launch event ran
-  // Flow indices sorted by start time (stable, so same-instant flows keep
-  // generation order). Launches chain through it: exactly one pending
-  // launch event exists at a time — see launch_batch.
-  std::vector<std::uint32_t> launch_order;
-  std::vector<std::uint32_t> retire_pending;  // done this chunk
-  std::vector<std::uint32_t> retire_ready;    // quarantined one full chunk
-  std::size_t outstanding = 0;  // short flows not yet finished
-  // Flow table plus profile/context pointers, so a launch event captures
-  // only {&run, index} — 16 bytes, inside the simulator's inline payload.
-  std::vector<transport::Flow> flows;
-  const proto::TransportProfile* profile = nullptr;
-  proto::RunContext* ctx = nullptr;
-  // Non-null iff cfg.telemetry.enabled: launches feed the flow heavy-hitter
-  // sketch; the harness loop drives queue sampling at chunk boundaries.
-  obs::TelemetryPlane* telemetry = nullptr;
-  bool recycle = true;
-  // Accumulated at slot retirement; live slots are folded in at run end.
-  std::uint64_t data_packets_sent = 0;
-  std::uint64_t probes_sent = 0;
-};
-
-stats::FlowRecord& record_for(Run& run, EndpointSlot& sl) {
-  return run.streaming ? sl.record : run.records[sl.flow_index];
-}
-
-void maybe_queue_retire(Run& run, std::uint32_t s) {
-  if (!run.recycle) return;
-  EndpointSlot& sl = run.table.slot(s);
-  if (sl.queued_retire || !sl.done) return;
-  if (!sl.sender->finished()) return;
-  if (!sl.receiver_done && !sl.sender->terminated()) return;
-  sl.queued_retire = true;
-  run.retire_pending.push_back(s);
-}
-
-// Destroys a retired (or end-of-run live) slot after folding its counters
-// and, in streaming mode, its record.
-void retire_now(Run& run, std::uint32_t s) {
-  EndpointSlot& sl = run.table.slot(s);
-  run.data_packets_sent += sl.sender->data_packets_sent();
-  run.probes_sent += sl.sender->probes_sent();
-  sl.src->unregister_flow(sl.flow_id);
-  sl.dst->unregister_flow(sl.flow_id);
-  if (run.streaming) run.streaming->add(sl.record);
-  run.table.destroy(s);
-  run.table.release(s);
-}
-
-// Chunk-boundary recycling: slots queued during the chunk just executed go
-// into quarantine; slots that have sat out a full chunk are reclaimed.
-void recycle_tick(Run& run) {
-  for (std::uint32_t s : run.retire_ready) retire_now(run, s);
-  run.retire_ready.clear();
-  std::swap(run.retire_ready, run.retire_pending);
-}
-
-void launch_flow(Run& run, std::size_t i) {
-  const transport::Flow& flow = run.flows[i];
-  topo::Topology& topo = run.ctx->built.topo();
-  net::Host* src = static_cast<net::Host*>(topo.node(flow.src));
-  net::Host* dst = static_cast<net::Host*>(topo.node(flow.dst));
-  assert(src && dst);
-  run.activated[i] = true;
-  // Heavy-hitter feed rides the launch: launches run in start-time order
-  // (stable on flow index), the exact order the parallel driver stages
-  // flows, so the sketch sees an identical update sequence either way.
-  if (run.telemetry != nullptr) {
-    run.telemetry->note_flow(flow.id, flow.size_bytes);
-  }
-
-  const std::uint32_t s = run.table.acquire();
-  EndpointSlot& slot = run.table.slot(s);
-  slot.flow_index = static_cast<std::uint32_t>(i);
-  if (run.streaming) slot.record = record_from(flow);
-  run.table.construct(s, *run.profile, *run.ctx, *run.ctx, flow, *src, *dst);
-
-  slot.receiver->on_complete = [&run, s](transport::Receiver& r) {
-    EndpointSlot& sl = run.table.slot(s);
-    sl.receiver_done = true;
-    stats::FlowRecord& rec = record_for(run, sl);
-    if (rec.finish < 0.0 && !rec.terminated) {
-      rec.finish = r.completion_time();
-      sl.done = true;
-      if (!rec.background && run.outstanding > 0) --run.outstanding;
-    }
-    maybe_queue_retire(run, s);
-  };
-  slot.sender->on_complete = [&run, s](transport::Sender& snd) {
-    EndpointSlot& sl = run.table.slot(s);
-    stats::FlowRecord& rec = record_for(run, sl);
-    if (snd.terminated() && rec.finish < 0.0 && !rec.terminated) {
-      rec.terminated = true;
-      sl.done = true;
-      if (!rec.background && run.outstanding > 0) --run.outstanding;
-    }
-    maybe_queue_retire(run, s);
-  };
-
-  run.profile->before_flow_start(*run.ctx, *slot.sender, *slot.receiver);
-  src->register_flow(flow.id, slot.sender);
-  dst->register_flow(flow.id, slot.receiver);
-  slot.sender->start();
-}
-
-// Launches every flow at launch_order[pos...] sharing one start instant,
-// then schedules the next batch. Chaining keeps the calendar free of tens
-// of thousands of far-future launch events: those alias into day buckets a
-// whole rotation out, and every steady-state insert that lands in a bucket
-// with such an alien at its head touches a cold slot line. One pending
-// launch at a time also keeps the slot arena sized by in-flight events,
-// not by workload length. Ordering is unchanged: same-instant flows run
-// inside one event in generation order — exactly the relative order the
-// schedule-everything-up-front driver produced (launch events were the
-// first seqs assigned, consecutively, so nothing could interleave them).
-void launch_batch(Run& run, std::size_t pos) {
-  const double t = run.flows[run.launch_order[pos]].start_time;
-  do {
-    launch_flow(run, run.launch_order[pos]);
-    ++pos;
-  } while (pos < run.launch_order.size() &&
-           run.flows[run.launch_order[pos]].start_time == t);
-  if (pos < run.launch_order.size()) {
-    run.sim.schedule_at(run.flows[run.launch_order[pos]].start_time,
-                        [&run, pos] { launch_batch(run, pos); });
-  }
-}
-
-// End-of-run folding shared by both stats modes: flush quarantine, fold
-// still-live slots (unfinished and background flows), and in streaming mode
-// account for descriptors whose launch event never ran.
-void finalize_flows(Run& run) {
-  for (std::uint32_t s : run.retire_ready) retire_now(run, s);
-  run.retire_ready.clear();
-  for (std::uint32_t s : run.retire_pending) retire_now(run, s);
-  run.retire_pending.clear();
-  for (std::uint32_t s = 0; s < run.table.size(); ++s) {
-    EndpointSlot& sl = run.table.slot(s);
-    if (!sl.in_use || sl.sender == nullptr) continue;
-    run.data_packets_sent += sl.sender->data_packets_sent();
-    run.probes_sent += sl.sender->probes_sent();
-    if (run.streaming) run.streaming->add(record_for(run, sl));
-  }
-  if (run.streaming) {
-    for (std::size_t i = 0; i < run.flows.size(); ++i) {
-      if (!run.activated[i]) run.streaming->add(record_from(run.flows[i]));
-    }
-  }
-}
-
 // --- Conditional-lookahead horizon probe -------------------------------------
 //
 // Per-domain data for ParallelEngine::set_horizon_probe. The engine needs,
@@ -602,35 +427,61 @@ std::vector<DomainProbe> build_horizon_probes(
   return probes;
 }
 
-// --- Conservative-parallel driver --------------------------------------------
+// --- Scenario driver ---------------------------------------------------------
 //
-// Same run, partitioned: one Simulator per domain under a
-// sim::ParallelEngine, every link rebound to its transmitting node's domain,
-// cut links posting deliveries through the engine's mailboxes. Bit-identity
-// with the sequential path rests on three things:
+// One driver for every worker count: one Simulator per domain under a
+// sim::ParallelEngine. One domain is the sequential run. With more, every
+// link is rebound to its transmitting node's domain and cut links post
+// deliveries through the engine's mailboxes.
+//
+// Flows exist in three forms over their life:
+//   pending    — a compact descriptor in `flows`; no endpoints, no demux
+//                entries, no per-flow heap, no calendar event.
+//   live       — an EndpointSlot: sender/receiver placement-constructed into
+//                the profile's slab arenas, SoA row bound, demux registered,
+//                one start event pending. Flows are staged at the chunk
+//                barrier before the chunk holding their start time, so the
+//                calendar holds at most one chunk of launches and the slot
+//                arena stays sized by in-flight events, not workload length.
+//   retired    — after sender finish + receiver completion (or termination),
+//                one full 10 ms chunk of quarantine (longer than any
+//                in-flight packet's remaining life: path delays are
+//                microseconds and finished senders cancel their timers),
+//                then the endpoints are destroyed and the slot recycled.
+// Packet counters are accumulated at retirement; sums are commutative, so
+// totals do not depend on when a slot retires.
+//
+// Bit-identity across worker counts rests on three things:
 //
 //   (1) every cross-domain interaction is a Link delivery, and injected
 //       deliveries carry lineage nodes that sort them against local events
-//       exactly where the sequential FIFO would have placed them
+//       exactly where the one-domain FIFO would have placed them
 //       (sim/det_lineage.h);
-//   (2) endpoints materialize lazily at chunk barriers (construction and
-//       register_flow are passive for every parallel-safe profile), and the
-//       sender->start() event's setup index is the flow index — lineage
-//       roots depend on that index alone, so the staged schedule replays the
-//       sequential launch ordering no matter when construction happened;
+//   (2) staging is passive (building endpoints, before_flow_start and
+//       register_flow schedule no event, checked below), and the start
+//       event's setup index is the flow index — lineage roots depend on
+//       that index alone, so the staged schedule orders launches the same
+//       way no matter when staging ran;
 //   (3) completion callbacks do not touch shared state from worker threads:
 //       they append {node, time} records to per-domain lists, which the
-//       main thread merges in lineage order at each chunk boundary,
-//       replaying the sequential first-wins guards. Slot retirement and
+//       main thread merges in lineage order at each chunk boundary and
+//       replays through the first-wins guards. Slot retirement and
 //       recycling likewise run only at barriers, while every domain is
 //       quiescent.
 //
-// Returns nullopt when the partition is unusable (fewer than two domains or
-// a zero-delay cut link), naming the cause in *reason; the caller then runs
-// the sequential body.
-std::optional<ScenarioResult> try_run_parallel(
-    const ScenarioConfig& cfg, const std::vector<transport::Flow>& flow_list,
-    const proto::TransportProfile& profile, std::string* reason) {
+// Returns nullopt, leaving `flow_list` untouched and naming the cause in
+// *reason, when `domains` > 1 but the partition is unusable (fewer than two
+// domains or a zero-delay cut link); the caller then runs one domain.
+
+// Lineage node ordering a record made by the executing event. One domain
+// has no lineage: its records are appended in execution order.
+sim::DetLineage::NodeId record_node(sim::Simulator& s) {
+  return s.det_enabled() ? s.make_post_node() : sim::DetLineage::kNull;
+}
+
+std::optional<ScenarioResult> run_on_engine(
+    const ScenarioConfig& cfg, std::vector<transport::Flow>& flow_list,
+    const proto::TransportProfile& profile, int domains, std::string* reason) {
   const Clock::time_point setup_t0 = Clock::now();
   // Trace buffers are declared before the engine so they are destroyed
   // after it — worker threads hold thread-local pointers into them until
@@ -639,7 +490,7 @@ std::optional<ScenarioResult> try_run_parallel(
   std::vector<std::string> queue_names;
   // The engine is declared first so it is destroyed last: sender, receiver
   // and control-plane destructors cancel timers on their domain simulators.
-  sim::ParallelEngine engine(cfg.workers);
+  sim::ParallelEngine engine(domains);
   const int n_dom = engine.num_domains();
 
   std::unique_ptr<topo::BuiltTopology> built_ptr =
@@ -649,68 +500,75 @@ std::optional<ScenarioResult> try_run_parallel(
   topo::Topology& topo = built.topo();
   apply_switch_tuning(built, cfg);
 
-  const topo::Partition part = partition_topology(topo, cfg.workers);
-  if (!part.usable()) {
-    if (reason != nullptr) {
-      *reason = part.domains < 2
-                    ? "partition produced fewer than two domains"
-                    : "a cut link has zero propagation delay";
-    }
+  const topo::Partition part = partition_topology(topo, n_dom);
+  if (n_dom > 1 && !part.usable()) {
+    *reason = part.domains < 2 ? "partition produced fewer than two domains"
+                               : "a cut link has zero propagation delay";
     return std::nullopt;
   }
-  engine.set_lookahead(part.lookahead);
   if (cfg.profile) {
     for (int d = 0; d < n_dom; ++d) engine.domain(d).enable_profiling();
   }
 
-  // Telemetry plane, sampled only at engine-quiescent instants (run_until
-  // returns with every mailbox drained and all domain clocks on the target),
-  // so queue state reads race nothing and the sample sequence — hence the
-  // JSONL — is byte-identical at any worker count.
+  // Telemetry plane, sampled from the driver at engine-quiescent instants
+  // (run_until returns with every mailbox drained and all domain clocks on
+  // the target), never via scheduled events: the event path — and every
+  // golden fingerprint — is identical with it on or off, queue state reads
+  // race nothing, and the JSONL is byte-identical at any worker count.
   std::unique_ptr<obs::TelemetryPlane> telemetry;
   if (cfg.telemetry.enabled) {
     telemetry = std::make_unique<obs::TelemetryPlane>(built, cfg.telemetry);
   }
 
-  // Every link schedules on the clock of the node that transmits into it;
-  // cut links post into the destination domain instead.
   const auto domain_sim = [&engine, &part](net::NodeId id) -> sim::Simulator& {
     return engine.domain(part.domain_of_node(id));
   };
-  for (const auto& h : topo.hosts()) {
-    h->uplink().bind_domain(domain_sim(h->id()));
-  }
-  for (const auto& sw : topo.switches()) {
-    for (int p = 0; p < sw->num_ports(); ++p) {
-      sw->port_link(p).bind_domain(domain_sim(sw->id()));
+  if (n_dom > 1) {
+    // Every link schedules on the clock of the node that transmits into it;
+    // cut links post into the destination domain instead.
+    for (const auto& h : topo.hosts()) {
+      h->uplink().bind_domain(domain_sim(h->id()));
     }
+    for (const auto& sw : topo.switches()) {
+      for (int p = 0; p < sw->num_ports(); ++p) {
+        sw->port_link(p).bind_domain(domain_sim(sw->id()));
+      }
+    }
+    for (const auto& c : part.cut_links) {
+      c.link->set_cross_post(&engine, c.src_domain, c.dst_domain);
+    }
+    engine.set_lookahead(part.lookahead);
   }
-  for (const auto& c : part.cut_links) {
-    c.link->set_cross_post(&engine, c.src_domain, c.dst_domain);
-  }
-  // A run can end with deliveries still in a mailbox; their payload is a
-  // released Packet that must go back to a pool.
-  engine.set_orphan_deleter([](sim::RawFn, void*, void* arg) {
-    net::PacketPtr(static_cast<net::Packet*>(arg));
-  });
 
-  proto::RunContext ctx0{engine.domain(0), built,
-                         static_cast<const proto::ProfileParams&>(cfg)};
-  ctx0.base_rtt = proto::estimate_base_rtt(topo, built.host_rate_bps());
+  // Per-domain contexts so endpoint factories place each agent on its own
+  // node's clock (ctx.sim is what sender/receiver constructors capture).
+  // Deadline workloads arbitrate/schedule EDF; others SJF.
+  const sim::Time base_rtt =
+      proto::estimate_base_rtt(topo, built.host_rate_bps());
+  bool any_deadline = false;
   for (const auto& f : flow_list) {
-    ctx0.any_deadline = ctx0.any_deadline || f.has_deadline();
+    any_deadline = any_deadline || f.has_deadline();
   }
-  ctx0.sim_resolver = domain_sim;
+  std::vector<proto::RunContext> dctx;
+  dctx.reserve(static_cast<std::size_t>(n_dom));
+  for (int d = 0; d < n_dom; ++d) {
+    dctx.push_back(proto::RunContext{
+        engine.domain(d), built, static_cast<const proto::ProfileParams&>(cfg)});
+    dctx.back().base_rtt = base_rtt;
+    dctx.back().any_deadline = any_deadline;
+    if (n_dom > 1) dctx.back().sim_resolver = domain_sim;
+  }
   std::unique_ptr<proto::ControlPlane> control =
-      profile.make_control_plane(ctx0);
-  ctx0.control = control.get();
+      profile.make_control_plane(dctx[0]);
+  for (proto::RunContext& c : dctx) c.control = control.get();
 
   // Conditional lookahead: certify per-domain bounds from the topology (and
   // the control plane's timer nodes), arm the links' activity counters, and
   // hand the engine a per-round probe. Static mode skips all of it and the
   // engine falls back to next_t + min-cut-propagation windows.
   std::vector<DomainProbe> probes;
-  if (cfg.horizon_mode == ScenarioConfig::HorizonMode::kConditional) {
+  if (n_dom > 1 &&
+      cfg.horizon_mode == ScenarioConfig::HorizonMode::kConditional) {
     probes = build_horizon_probes(topo, part, control.get());
     for (const auto& h : topo.hosts()) h->uplink().arm_activity_tracking();
     for (const auto& sw : topo.switches()) {
@@ -764,27 +622,23 @@ std::optional<ScenarioResult> try_run_parallel(
   EndpointTable table;
   table.init(profile);
 
-  // Per-domain contexts so endpoint factories place each agent on its own
-  // node's clock (ctx.sim is what sender/receiver constructors capture).
-  std::vector<proto::RunContext> dctx;
-  dctx.reserve(static_cast<std::size_t>(n_dom));
-  for (int d = 0; d < n_dom; ++d) {
-    dctx.push_back(proto::RunContext{engine.domain(d), built, ctx0.params});
-    dctx.back().base_rtt = ctx0.base_rtt;
-    dctx.back().any_deadline = ctx0.any_deadline;
-    dctx.back().control = ctx0.control;
-    dctx.back().sim_resolver = ctx0.sim_resolver;
-  }
-
-  // Pre-size each domain's calendar and packet pool like the sequential path
-  // does, scaled to the domain's share of hosts and launches.
+  // Pre-size each domain's calendar and packet pool from its share of the
+  // in-flight population, not from the flow count: a few events per host
+  // (tx-done, delivery, timers, control) plus a margin for the one chunk of
+  // staged launches the calendar ever holds (a denser chunk grows it once).
+  // Steady-state scheduling then rarely grows a slot chunk or rebuilds the
+  // calendar mid-burst, and the first wave of sends finds a warm pool.
   std::vector<std::size_t> dom_hosts(static_cast<std::size_t>(n_dom), 0);
   for (const auto& h : topo.hosts()) {
     ++dom_hosts[static_cast<std::size_t>(part.domain_of_node(h->id()))];
   }
+  for (int d = 0; d < n_dom; ++d) {
+    engine.domain(d).reserve(dom_hosts[static_cast<std::size_t>(d)] * 8 +
+                             1024);
+  }
   // One trace ring per domain, installed on whichever thread runs that
   // domain (the caller thread for domain 0). Lineage keys stamped on every
-  // record let the buffers merge back into sequential emission order.
+  // record let the buffers merge back into one-domain emission order.
   if (cfg.trace.enabled) {
     queue_names = obs::label_fabric_queues(topo);
     tbufs.reserve(static_cast<std::size_t>(n_dom));
@@ -801,27 +655,22 @@ std::optional<ScenarioResult> try_run_parallel(
     }
   });
 
-  // Pending descriptors, records and bookkeeping. record index == flow
-  // index; activation order is start-time order (stable on flow index for
-  // simultaneous arrivals, which is exactly the sequential tie-break).
+  // Pending descriptors, records and bookkeeping. Generator host indices
+  // map onto node ids; record index == flow index (flows that never launch
+  // keep finish = -1); activation order is start-time order, stable on flow
+  // index for simultaneous arrivals.
   const bool exact = cfg.stats_mode == ScenarioConfig::StatsMode::kExact;
   std::unique_ptr<stats::StreamingFlowStats> streaming;
   if (!exact) streaming = std::make_unique<stats::StreamingFlowStats>();
-  std::vector<transport::Flow> flows = flow_list;
+  std::vector<transport::Flow> flows = std::move(flow_list);
   std::vector<stats::FlowRecord> records;
   if (exact) records.reserve(flows.size());
   std::size_t outstanding = 0;
-  std::vector<std::size_t> dom_flows(static_cast<std::size_t>(n_dom), 0);
   for (auto& f : flows) {
     f.src = topo.host(static_cast<std::size_t>(f.src))->id();
     f.dst = topo.host(static_cast<std::size_t>(f.dst))->id();
-    ++dom_flows[static_cast<std::size_t>(part.domain_of_node(f.src))];
     if (exact) records.push_back(record_from(f));
     if (!f.background) ++outstanding;
-  }
-  for (int d = 0; d < n_dom; ++d) {
-    engine.domain(d).reserve(dom_flows[static_cast<std::size_t>(d)] +
-                             dom_hosts[static_cast<std::size_t>(d)] * 8 + 64);
   }
   prewarm_demux(topo, flows);
 
@@ -876,8 +725,8 @@ std::optional<ScenarioResult> try_run_parallel(
       const transport::Flow& f = flows[i];
       if (f.start_time > horizon) break;
       ++next_pending;
-      // Same traversal order as the sequential launch chain (start-time
-      // stable sort on flow index), so the sketch update sequence matches.
+      // Start-time order, stable on flow index: the heavy-hitter sketch sees
+      // the same update sequence at any worker count.
       if (telemetry) telemetry->note_flow(f.id, f.size_bytes);
 
       const std::size_t sd =
@@ -888,6 +737,8 @@ std::optional<ScenarioResult> try_run_parallel(
       net::Host* dst = static_cast<net::Host*>(topo.node(f.dst));
       assert(src && dst);
 
+      [[maybe_unused]] const std::size_t pending_before =
+          PASE_DCHECK_ENABLED ? engine.pending_events() : 0;
       const std::uint32_t s = table.acquire();
       EndpointSlot& slot = table.slot(s);
       slot.flow_index = i;
@@ -897,34 +748,41 @@ std::optional<ScenarioResult> try_run_parallel(
       std::vector<Completion>* rlist = &deferred[dd];
       sim::Simulator* rsim = &engine.domain(static_cast<int>(dd));
       slot.receiver->on_complete = [rlist, rsim, s](transport::Receiver& r) {
-        rlist->push_back(
-            {rsim->make_post_node(), r.completion_time(), s, true});
+        rlist->push_back({record_node(*rsim), r.completion_time(), s, true});
       };
       std::vector<Completion>* slist = &deferred[sd];
       sim::Simulator* ssim = &engine.domain(static_cast<int>(sd));
       slot.sender->on_complete = [slist, ssim, s](transport::Sender& snd) {
         if (snd.terminated()) {
-          slist->push_back({ssim->make_post_node(), 0.0, s, false});
+          slist->push_back({record_node(*ssim), 0.0, s, false});
         }
       };
 
       profile.before_flow_start(dctx[sd], *slot.sender, *slot.receiver);
       src->register_flow(f.id, slot.sender);
       dst->register_flow(f.id, slot.receiver);
+      // Staging runs between chunks, outside any event: an event scheduled
+      // here would take the lineage (or FIFO seq) of the staging pass, not
+      // of the flow, and break bit-identity across worker counts.
+      PASE_DCHECK(engine.pending_events() == pending_before &&
+                  "endpoint construction, before_flow_start and "
+                  "register_flow must not schedule events");
       // The start event becomes a lineage root with k = setup_base + flow
-      // index: the sequential driver schedules the control plane's setup
-      // events (PASE delegation timers, indices [0, setup_base)) before any
-      // launch, and the global seq breaks same-instant ties in exactly that
-      // order — independent of when this staging pass ran.
+      // index: the control plane's setup events (PASE delegation timers,
+      // indices [0, setup_base)) order before every launch, and same-instant
+      // launches order by flow index — independent of when this staging
+      // pass ran.
       engine.domain(static_cast<int>(sd)).set_setup_index(setup_base + i);
       engine.domain(static_cast<int>(sd))
           .schedule_at(f.start_time, [snd = slot.sender] { snd->start(); });
     }
   };
 
-  // Merge deferred completions in deterministic order and replay the
-  // sequential guards (first of {receiver completion, early termination}
-  // wins; background flows never count against `outstanding`).
+  // Apply deferred completions in execution order (a lineage merge across
+  // domains; one domain's list already is in that order) through the
+  // first-wins guards: the first of {receiver completion, early
+  // termination} decides the record, and background flows never count
+  // against `outstanding`.
   std::vector<Completion> merged;
   const auto apply_completions = [&] {
     merged.clear();
@@ -932,10 +790,12 @@ std::optional<ScenarioResult> try_run_parallel(
       merged.insert(merged.end(), dl.begin(), dl.end());
       dl.clear();
     }
-    std::sort(merged.begin(), merged.end(),
-              [&engine](const Completion& a, const Completion& b) {
-                return engine.lineage().less(a.node, b.node);
-              });
+    if (n_dom > 1) {
+      std::sort(merged.begin(), merged.end(),
+                [&engine](const Completion& a, const Completion& b) {
+                  return engine.lineage().less(a.node, b.node);
+                });
+    }
     for (const auto& c : merged) {
       EndpointSlot& sl = table.slot(c.slot);
       if (c.receiver_done) sl.receiver_done = true;
@@ -946,7 +806,6 @@ std::optional<ScenarioResult> try_run_parallel(
       } else {
         rec.terminated = true;
       }
-      sl.done = true;
       if (recycle) awaiting.push_back(c.slot);
       if (!rec.background && outstanding > 0) --outstanding;
     }
@@ -961,7 +820,6 @@ std::optional<ScenarioResult> try_run_parallel(
       EndpointSlot& sl = table.slot(s);
       if (sl.sender->finished() &&
           (sl.receiver_done || sl.sender->terminated())) {
-        sl.queued_retire = true;
         retire_pending.push_back(s);
       } else {
         awaiting[w++] = s;
@@ -976,19 +834,19 @@ std::optional<ScenarioResult> try_run_parallel(
   ScenarioResult result;
   result.setup_wall_sec = seconds_since(setup_t0);
 
-  // Same chunk targets as the sequential driver: the clock lands on the same
-  // multiple of `step` when the last short flow finishes, so end_time (which
-  // is fingerprinted) matches bit for bit.
+  // Run until every short flow completes (or the hard cap) in 10 ms chunks:
+  // stage the chunk's launches, run it, then apply completions and recycle
+  // endpoint slots while every domain is quiescent.
   const sim::Time step = 10e-3;
   std::uint64_t next_sample = 1;
   while (outstanding > 0 && engine.now() < cfg.max_duration) {
     const sim::Time target = std::min(cfg.max_duration, engine.now() + step);
     stage_until(target);
-    // Telemetry sub-boundaries, mirroring the sequential driver: run to each
-    // absolute grid instant (multiplicative, drift-free), sample with every
-    // domain quiescent, continue. run_until(t) executes every event <= t and
-    // parks all domain clocks at t, so the event sequence matches a
-    // telemetry-off run and the samples match the sequential driver's.
+    // Telemetry sub-boundaries: run to each absolute grid instant inside the
+    // chunk (computed multiplicatively, so the grid never drifts), sample
+    // with every domain quiescent, then continue to the chunk target.
+    // run_until(t) executes every event <= t and parks all domain clocks at
+    // t, so the executed-event sequence matches a telemetry-off run.
     if (telemetry) {
       for (sim::Time ts = telemetry->sample_time(next_sample); ts <= target;
            ts = telemetry->sample_time(++next_sample)) {
@@ -1007,8 +865,9 @@ std::optional<ScenarioResult> try_run_parallel(
     recycle_at_barrier();
   }
 
-  // Flush the quarantine, fold still-live slots, and account for
-  // descriptors that never activated (run ended first).
+  // Flush the quarantine, fold still-live slots (unfinished and background
+  // flows), and in streaming mode account for descriptors that never
+  // activated (the run ended first).
   for (std::uint32_t s : retire_ready) retire_slot(s);
   retire_ready.clear();
   for (std::uint32_t s : retire_pending) retire_slot(s);
@@ -1071,15 +930,17 @@ std::optional<ScenarioResult> try_run_parallel(
   fold_common_metrics(reg, result, built);
   reg.counter("engine.executed_events") = executed;
   reg.counter("engine.calendar_rebuilds") = rebuilds;
-  reg.counter("parallel.rounds") = engine.rounds_executed();
-  reg.counter("parallel.windows") = engine.windows_executed();
-  reg.counter("parallel.cross_posts") = engine.cross_posts();
-  reg.counter("parallel.drains") = engine.drains_executed();
-  reg.counter("parallel.quiet_rounds") = engine.quiet_rounds();
-  reg.gauge("parallel.horizon_width_mean") = engine.mean_horizon_width();
-  reg.gauge("parallel.barrier_spin_sec") = engine.barrier_spin_sec();
-  reg.counter("parallel.lineage_peak_nodes") = engine.lineage().peak_nodes();
-  reg.counter("parallel.lineage_compactions") = engine.lineage().rebases();
+  if (n_dom > 1) {
+    reg.counter("parallel.rounds") = engine.rounds_executed();
+    reg.counter("parallel.windows") = engine.windows_executed();
+    reg.counter("parallel.cross_posts") = engine.cross_posts();
+    reg.counter("parallel.drains") = engine.drains_executed();
+    reg.counter("parallel.quiet_rounds") = engine.quiet_rounds();
+    reg.gauge("parallel.horizon_width_mean") = engine.mean_horizon_width();
+    reg.gauge("parallel.barrier_spin_sec") = engine.barrier_spin_sec();
+    reg.counter("parallel.lineage_peak_nodes") = engine.lineage().peak_nodes();
+    reg.counter("parallel.lineage_compactions") = engine.lineage().rebases();
+  }
   if (result.telemetry) {
     reg.counter("telemetry.samples") = result.telemetry->samples;
     reg.counter("telemetry.windows") = result.telemetry->windows.size();
@@ -1119,178 +980,21 @@ ScenarioResult run_scenario_with_flows(ScenarioConfig cfg,
   profile.validate(cfg);
 
   if (cfg.workers < 1) bad_config("workers must be at least 1");
+  // An unsafe profile or an unusable partition (zero-lookahead cut,
+  // degenerate domain count) runs on one domain and carries the reason into
+  // the result, so callers can tell it apart from a partitioned run.
   std::string fallback_reason;
-  if (cfg.workers > 1) {
-    if (!profile.parallel_safe()) {
-      fallback_reason =
-          "profile '" + std::string(profile.name()) + "' is not parallel-safe";
-    } else if (std::optional<ScenarioResult> r =
-                   try_run_parallel(cfg, flows, profile, &fallback_reason)) {
-      return std::move(*r);
-    }
-    // Unusable partition (zero-lookahead cut, degenerate domain count) or an
-    // unsafe profile: fall through to the sequential body, carrying the
-    // reason into the result so callers can tell a silent fallback apart
-    // from a parallel run.
+  int domains = cfg.workers;
+  if (domains > 1 && !profile.parallel_safe()) {
+    fallback_reason =
+        "profile '" + std::string(profile.name()) + "' is not parallel-safe";
+    domains = 1;
   }
-
-  const Clock::time_point setup_t0 = Clock::now();
-  Run run;
-  run.flows = std::move(flows);
-  run.profile = &profile;
-  run.recycle = cfg.recycle_endpoints;
-  if (cfg.stats_mode == ScenarioConfig::StatsMode::kStreaming) {
-    run.streaming = std::make_unique<stats::StreamingFlowStats>();
-  }
-  run.built =
-      topology_builder(cfg)->build(run.sim, profile.make_queue_factory(cfg));
-  topo::BuiltTopology& built = *run.built;
-  apply_switch_tuning(built, cfg);
-  if (cfg.profile) run.sim.enable_profiling();
-
-  // Telemetry plane: sampled from the harness at chunk boundaries (below),
-  // never via scheduled events, so the event path — and every golden
-  // fingerprint — is identical with it on or off.
-  std::unique_ptr<obs::TelemetryPlane> telemetry;
-  if (cfg.telemetry.enabled) {
-    telemetry = std::make_unique<obs::TelemetryPlane>(built, cfg.telemetry);
-    run.telemetry = telemetry.get();
-  }
-
-  proto::RunContext ctx{run.sim, built,
-                        static_cast<const proto::ProfileParams&>(cfg)};
-  ctx.base_rtt = proto::estimate_base_rtt(built.topo(), built.host_rate_bps());
-  // Deadline workloads arbitrate/schedule EDF; others SJF.
-  for (const auto& f : run.flows) {
-    ctx.any_deadline = ctx.any_deadline || f.has_deadline();
-  }
-  run.ctx = &ctx;
-
-  run.control = profile.make_control_plane(ctx);
-  ctx.control = run.control.get();
-  run.table.init(profile);
-
-  // Pre-size the engine and the packet pool from the in-flight population:
-  // a few events per host (tx-done, delivery, timers, control) plus the one
-  // chained launch event (see launch_batch — launches no longer sit in the
-  // calendar all at once). Reserving here means steady-state scheduling
-  // never grows a slot chunk or rebuilds the calendar mid-burst, and the
-  // first wave of sends finds a warm packet pool.
-  const std::size_t num_hosts = built.topo().num_hosts();
-  run.sim.reserve(num_hosts * 8 + 1024);
-  net::PacketPool::local().prewarm(num_hosts * 16 + 256);
-
-  // Tracing: one preallocated ring for the whole (single-domain) run,
-  // installed for the duration of the event loop. When disabled nothing is
-  // allocated and the thread-local stays null.
-  std::unique_ptr<obs::TraceBuffer> tbuf;
-  std::vector<std::string> queue_names;
-  if (cfg.trace.enabled) {
-    queue_names = obs::label_fabric_queues(built.topo());
-    tbuf = std::make_unique<obs::TraceBuffer>(cfg.trace.buffer_capacity,
-                                              cfg.trace.categories);
-  }
-  obs::ScopedTracer scoped_tracer(tbuf.get());
-
-  // Map generator host indices onto node ids; in exact mode pre-create the
-  // records (flows that never launch keep finish = -1, as always).
-  run.activated.assign(run.flows.size(), false);
-  if (!run.streaming) run.records.reserve(run.flows.size());
-  for (auto& f : run.flows) {
-    f.src = built.topo().host(static_cast<std::size_t>(f.src))->id();
-    f.dst = built.topo().host(static_cast<std::size_t>(f.dst))->id();
-    if (!run.streaming) run.records.push_back(record_from(f));
-    if (!f.background) ++run.outstanding;
-  }
-  prewarm_demux(built.topo(), run.flows);
-
-  // Schedule flow launches as a chain in start-time order (stable sort:
-  // same-instant flows keep generation order, which the up-front scheduler
-  // expressed through consecutive setup seqs). The chain closure fits the
-  // simulator's inline event payload, so launches allocate nothing.
-  run.launch_order.resize(run.flows.size());
-  for (std::size_t i = 0; i < run.launch_order.size(); ++i) {
-    run.launch_order[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(run.launch_order.begin(), run.launch_order.end(),
-                   [&run](std::uint32_t a, std::uint32_t b) {
-                     return run.flows[a].start_time < run.flows[b].start_time;
-                   });
-  if (!run.launch_order.empty()) {
-    run.sim.schedule_at(run.flows[run.launch_order[0]].start_time,
-                        [&run] { launch_batch(run, 0); });
-  }
-
-  ScenarioResult result;
-  result.setup_wall_sec = seconds_since(setup_t0);
-
-  // Run until every short flow completes (or the hard cap), reclaiming
-  // quarantined endpoint slots at every chunk boundary.
-  const sim::Time step = 10e-3;
-  std::uint64_t next_sample = 1;
-  while (run.outstanding > 0 && run.sim.now() < cfg.max_duration) {
-    const sim::Time before = run.sim.now();
-    const sim::Time target = std::min(cfg.max_duration, run.sim.now() + step);
-    // Telemetry sub-boundaries: run to each absolute grid instant inside the
-    // chunk (computed multiplicatively, so the grid never drifts), sample
-    // while the engine is quiescent, then continue to the chunk target.
-    // run(t) executes every event <= t and leaves the clock at t, so the
-    // executed-event sequence is identical to a telemetry-off run.
-    if (run.telemetry != nullptr) {
-      for (sim::Time ts = run.telemetry->sample_time(next_sample);
-           ts <= target; ts = run.telemetry->sample_time(++next_sample)) {
-        run.sim.run(ts);
-        run.telemetry->sample(run.sim.now());
-      }
-    }
-    run.sim.run(target);
-    recycle_tick(run);
-    if (run.sim.now() == before && run.sim.pending_events() == 0) break;
-  }
-
-  finalize_flows(run);
-
-  result.records = std::move(run.records);
-  result.end_time = run.sim.now();
-  result.fabric_drops = built.topo().total_drops();
-  result.data_packets_sent = run.data_packets_sent;
-  result.probes_sent = run.probes_sent;
-  result.slab_grow_events = run.table.slab_grow_events();
-  result.peak_live_flows = run.table.peak_live();
-  if (run.streaming) result.streaming = std::move(run.streaming);
-  if (run.control) {
-    if (const core::ControlPlaneStats* st = run.control->stats()) {
-      result.control = *st;
-    }
-  }
-  result.heap_closure_events = run.sim.heap_closure_events();
-  result.workers_used = 1;
-  result.parallel_fallback_reason = std::move(fallback_reason);
-  if (telemetry) result.telemetry = telemetry->finish(result.end_time);
-
-  if (tbuf) {
-    tbuf->emit_at(result.end_time, obs::kEngineCat,
-                  obs::EventType::kEngineSample, 0,
-                  static_cast<double>(run.sim.executed_events()),
-                  static_cast<double>(run.sim.heap_closure_events()),
-                  /*a=*/0);
-    auto trace = std::make_shared<obs::Trace>(
-        obs::merge_buffers({tbuf.get()}, nullptr, nullptr));
-    trace->queue_names = std::move(queue_names);
-    result.trace = std::move(trace);
-  }
-
-  obs::MetricsRegistry reg;
-  fold_common_metrics(reg, result, built);
-  reg.counter("engine.executed_events") = run.sim.executed_events();
-  reg.counter("engine.calendar_rebuilds") = run.sim.calendar_rebuilds();
-  if (result.telemetry) {
-    reg.counter("telemetry.samples") = result.telemetry->samples;
-    reg.counter("telemetry.windows") = result.telemetry->windows.size();
-  }
-  if (cfg.profile) fold_profile_metrics(reg, {&run.sim}, built);
-  result.metrics = reg.snapshot();
-  return result;
+  std::optional<ScenarioResult> r =
+      run_on_engine(cfg, flows, profile, domains, &fallback_reason);
+  if (!r) r = run_on_engine(cfg, flows, profile, 1, &fallback_reason);
+  r->parallel_fallback_reason = std::move(fallback_reason);
+  return std::move(*r);
 }
 
 }  // namespace pase::workload

@@ -60,16 +60,17 @@ struct ScenarioConfig : proto::ProfileParams {
 
   // Conservative-parallel execution: partition the topology into this many
   // domains, one worker thread each, synchronized on certified per-round
-  // horizons (see HorizonMode). Results are bit-identical to workers == 1 at
-  // any count. Falls back to sequential execution when the profile is not
+  // horizons (see HorizonMode). Every count runs the same driver, and
+  // workers == 1 is its one-domain case, so results are bit-identical at any
+  // count. The run uses one domain instead when the profile is not
   // parallel-safe, a cut link has zero propagation delay, or the partition
-  // degenerates to one domain; the fallback reports workers_used == 1 and
-  // names its cause in ScenarioResult::parallel_fallback_reason. Composes
-  // with exp::SweepRunner: each sweep thread runs its own engine.
+  // degenerates to one domain; it then reports workers_used == 1 and names
+  // the cause in ScenarioResult::parallel_fallback_reason. Composes with
+  // exp::SweepRunner: each sweep thread runs its own engine.
   int workers = 1;
 
   // How the parallel engine bounds each synchronization window (ignored when
-  // the run is sequential).
+  // the run has one domain).
   //   kConditional  — per-domain, per-round bound derived from where this
   //                   round's pending events actually sit: the certified
   //                   store-and-forward distance from any possible event
@@ -167,12 +168,13 @@ struct ScenarioResult {
   // topology build, control plane, record/descriptor setup. O(pending
   // descriptors), not O(endpoints) — endpoints are constructed lazily.
   double setup_wall_sec = 0.0;
-  // Actual domain count the run executed with: cfg.workers unless the
-  // harness fell back to sequential execution (then 1).
+  // Actual domain count the run executed with: cfg.workers (clamped to the
+  // partition's atomic units), or 1 when a workers > 1 request ran on one
+  // domain instead.
   int workers_used = 1;
-  // Why a workers > 1 request fell back to sequential execution; empty when
-  // the parallel engine ran (or was never requested). Sweep JSON carries
-  // this so a silent fallback can't masquerade as a parallel result.
+  // Why a workers > 1 request ran on one domain; empty when the partition
+  // ran (or was never requested). Sweep JSON carries this so a silent
+  // fallback can't masquerade as a parallel result.
   std::string parallel_fallback_reason;
   // Wall-clock seconds worker threads spent blocked in round barriers past
   // the spin burst (parallel runs only; load-imbalance signal). Wall time,
